@@ -22,7 +22,6 @@ a sub-generator).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
@@ -127,15 +126,15 @@ class Event:
         return f"<Event {self.name!r} {state}>"
 
 
-@dataclass(frozen=True)
 class Timeout:
     """Effect: suspend the yielding process for ``delay`` simulated time."""
 
-    delay: float
+    __slots__ = ("delay",)
 
-    def __post_init__(self) -> None:
-        if self.delay < 0:
-            raise ValueError(f"negative timeout: {self.delay}")
+    def __init__(self, delay: float) -> None:
+        if delay < 0:
+            raise ValueError(f"negative timeout: {delay}")
+        self.delay = delay
 
 
 class AnyOf:
@@ -196,14 +195,6 @@ class Process:
         return f"<Process {self.name!r} {state}>"
 
 
-@dataclass(order=True)
-class _ScheduledCall:
-    time: float
-    seq: int
-    fn: Callable[..., None] = field(compare=False)
-    args: tuple = field(compare=False, default=())
-
-
 class Simulator:
     """The discrete-event engine.
 
@@ -216,7 +207,9 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._queue: list[_ScheduledCall] = []
+        # heap of (time, seq, fn, args): the unique seq breaks time ties
+        # in scheduling order, so fn and args are never compared
+        self._queue: list[tuple[float, int, Callable[..., None], tuple]] = []
         self._seq = 0
         self._processes: list[Process] = []
         self._active = 0
@@ -228,7 +221,7 @@ class Simulator:
         if delay < 0:
             raise ValueError("cannot schedule in the past")
         self._seq += 1
-        heapq.heappush(self._queue, _ScheduledCall(self.now + delay, self._seq, fn, args))
+        heapq.heappush(self._queue, (self.now + delay, self._seq, fn, args))
 
     def event(self, name: str = "") -> Event:
         return Event(self, name=name)
@@ -350,18 +343,20 @@ class Simulator:
         remain un-finished with an empty queue (i.e. they all wait on
         events nobody will trigger).
         """
-        while self._queue:
-            call = self._queue[0]
-            if until is not None and call.time > until:
+        queue = self._queue
+        pop = heapq.heappop
+        errors = self._errors
+        while queue:
+            if until is not None and queue[0][0] > until:
                 self.now = until
                 return self.now
-            heapq.heappop(self._queue)
-            if call.time < self.now - 1e-12:
+            at, _, fn, args = pop(queue)
+            if at < self.now - 1e-12:
                 raise SimulationError("time went backwards")
-            self.now = call.time
-            call.fn(*call.args)
-            if self._errors:
-                raise self._errors[0]
+            self.now = at
+            fn(*args)
+            if errors:
+                raise errors[0]
         if self._active > 0:
             waiting = [
                 p.name for p in self._processes if not p.finished and not p.daemon

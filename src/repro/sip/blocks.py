@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, prod
+from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -222,38 +223,31 @@ def _symbolic_vector(
 # --------------------------------------------------------------------------
 # Blocks
 # --------------------------------------------------------------------------
-class BlockId:
+class BlockId(tuple):
     """Identity of one block: which array, which block coordinates.
 
-    Block ids key every hot dict in the runtime (caches, placements,
-    owned/local block maps), so the hash is computed once up front.
+    Block ids key every hot dict and set in the runtime (caches,
+    placements, owned/local block maps, spill maps), so they are plain
+    ``(array_id, coords)`` tuples underneath: hashing and equality run
+    in C, with the same hash as the tuple they wrap.
     """
 
-    __slots__ = ("array_id", "coords", "_hash")
+    __slots__ = ()
 
-    def __init__(self, array_id: int, coords: tuple[int, ...]) -> None:
-        self.array_id = array_id
-        self.coords = coords
-        self._hash = hash((array_id, coords))
+    def __new__(cls, array_id: int, coords: tuple[int, ...]) -> "BlockId":
+        return tuple.__new__(cls, (array_id, coords))
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, BlockId):
-            return self.array_id == other.array_id and self.coords == other.coords
-        return NotImplemented
+    array_id = property(itemgetter(0), doc="The array's id in the program.")
+    coords = property(itemgetter(1), doc="Block number per dimension (1-based).")
 
     def __reduce__(self):
-        # __slots__ classes need explicit pickle support; the hash is
-        # recomputed on the receiving side by __init__.
-        return (BlockId, (self.array_id, self.coords))
+        return (BlockId, tuple(self))
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"BlockId(array_id={self.array_id}, coords={self.coords})"
+    def __repr__(self) -> str:
+        return f"BlockId(array_id={self[0]}, coords={self[1]})"
 
-    def __str__(self) -> str:  # pragma: no cover - debugging aid
-        return f"B[{self.array_id}]{self.coords}"
+    def __str__(self) -> str:
+        return f"B[{self[0]}]{self[1]}"
 
 
 @dataclass

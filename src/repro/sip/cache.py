@@ -70,6 +70,7 @@ class BlockCache:
             raise ValueError("cache capacity must be >= 1")
         self.capacity = capacity_blocks
         self.name = name
+        # called after each eviction; must not mutate the cache
         self.on_evict = on_evict
         # Optional byte accounting: `nbytes_of` sizes an entry by its
         # block id, and `ledger` (a MemoryManager) is asked for headroom
@@ -213,32 +214,36 @@ class BlockCache:
         caller's victim cascade moves on to spilling).
         """
         freed = 0
-        count = 0
-        for key in list(self._entries):  # LRU order
+        victims = []
+        for key, entry in self._entries.items():  # LRU order
             if freed >= need_bytes:
                 break
-            entry = self._entries[key]
-            if self.evictable(entry):
+            # evictable(entry), inlined on this per-insert path
+            if entry.pinned == 0 and entry.block is not None and not entry.dirty:
                 freed += entry.charged
-                count += 1
-                self._evict(key, entry)
-        return freed, count
+                victims.append((key, entry))
+        for key, entry in victims:
+            self._evict(key, entry)
+        return freed, len(victims)
 
     def _make_room(self) -> None:
-        if len(self._entries) < self.capacity:
-            return
-        for key in list(self._entries):  # LRU order
-            entry = self._entries[key]
-            if self.evictable(entry):
-                self._evict(key, entry)
-                if len(self._entries) < self.capacity:
-                    return
-        if len(self._entries) >= self.capacity:
-            raise SIPError(
-                f"{self.name}: cache full of pinned/pending/dirty blocks "
-                f"({len(self._entries)} of {self.capacity}); increase the "
-                "cache size or reduce prefetch depth"
-            )
+        """Evict the least recently used evictable entry while full.
+
+        Walks from the LRU end only as far as the first evictable entry.
+        """
+        entries = self._entries
+        while len(entries) >= self.capacity:
+            for key, entry in entries.items():  # LRU order
+                # evictable(entry), inlined on this per-insert path
+                if entry.pinned == 0 and entry.block is not None and not entry.dirty:
+                    break
+            else:
+                raise SIPError(
+                    f"{self.name}: cache full of pinned/pending/dirty blocks "
+                    f"({len(entries)} of {self.capacity}); increase the "
+                    "cache size or reduce prefetch depth"
+                )
+            self._evict(key, entry)
 
     def items(self):
         return self._entries.items()

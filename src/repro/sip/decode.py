@@ -26,6 +26,7 @@ raised (the error-path tests match them verbatim).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 from ..sial.bytecode import ArrayDesc, BlockOperand, CompiledProgram
@@ -48,12 +49,26 @@ class ResolvedOperand:
 
 
 class DecodedOperand:
-    """A block operand with its descriptor lookups done at load time."""
+    """A block operand with its descriptor lookups done at load time.
 
-    __slots__ = ("array_id", "index_ids", "kind", "desc", "table", "dims", "_memo")
+    ``_key`` reads the operand's index values out of the bindings in C
+    (an ``operator.itemgetter``: a bare value for one index, a tuple
+    for several), raising ``KeyError`` when an index is unbound.  That
+    value keys the memo of resolved operands, so a repeat resolution
+    costs one C call and one dict probe.
+    """
+
+    __slots__ = (
+        "array_id", "index_ids", "kind", "desc", "table", "dims",
+        "_key", "_single", "_memo", "_store",
+    )
 
     def __init__(
-        self, op: BlockOperand, desc: ArrayDesc, table: ResolvedIndexTable
+        self,
+        op: BlockOperand,
+        desc: ArrayDesc,
+        table: ResolvedIndexTable,
+        memo: bool = True,
     ) -> None:
         self.array_id = op.array_id
         self.index_ids = op.index_ids
@@ -66,16 +81,50 @@ class DecodedOperand:
             (uid, table[uid], table[did], table[uid].is_subindex and not table[did].is_subindex)
             for did, uid in zip(desc.index_ids, op.index_ids)
         )
-        self._memo: dict[tuple, ResolvedOperand] = {}
+        uids = [d[0] for d in self.dims]
+        self._key = itemgetter(*uids)
+        self._single = len(uids) == 1
+        self._memo: dict = {}
+        self._store = memo  # False: resolve every time (fast path off)
 
-    def resolve(self, index_values: dict[int, int], memo: bool = True) -> ResolvedOperand:
-        key = tuple(index_values.get(uid) for uid, _, _, _ in self.dims)
-        if memo:
+    def resolve(self, index_values: dict[int, int]) -> ResolvedOperand:
+        """The operand under the current bindings; raises SIPError if
+        an index is unbound or out of its dimension's range."""
+        try:
+            key = self._key(index_values)
+        except KeyError:
+            values = tuple(index_values.get(d[0]) for d in self.dims)
+        else:
             hit = self._memo.get(key)
             if hit is not None:
                 return hit
-        r = self._resolve(key)
-        if memo:
+            return self._miss(key)
+        # an index is unbound: raise the error a full resolution reports
+        # (an out-of-range index ahead of the unbound one comes first)
+        return self._resolve(values)
+
+    def lookahead(self, index_values: dict[int, int]) -> Optional[ResolvedOperand]:
+        """:meth:`resolve` for speculative callers (prefetch, affinity).
+
+        Returns None when an index is unbound -- the common case for an
+        operand that depends on an inner loop, answered without building
+        an error -- or out of range.
+        """
+        try:
+            key = self._key(index_values)
+        except KeyError:
+            return None
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
+        try:
+            return self._miss(key)
+        except SIPError:
+            return None
+
+    def _miss(self, key) -> ResolvedOperand:
+        r = self._resolve((key,) if self._single else key)
+        if self._store:
             self._memo[key] = r
         return r
 
@@ -166,16 +215,19 @@ class DecodedProgram:
 
 
 def decode_program(
-    program: CompiledProgram, table: ResolvedIndexTable
+    program: CompiledProgram, table: ResolvedIndexTable, memo: bool = True
 ) -> DecodedProgram:
-    """Decode every instruction once; pcs and arg layout are preserved."""
+    """Decode every instruction once; pcs and arg layout are preserved.
+
+    ``memo=False`` makes every operand resolve afresh on each use (the
+    fast path off)."""
     operands: dict[BlockOperand, DecodedOperand] = {}
 
     def decode_operand(op: BlockOperand) -> DecodedOperand:
         d = operands.get(op)
         if d is None:
             d = operands[op] = DecodedOperand(
-                op, program.array_table[op.array_id], table
+                op, program.array_table[op.array_id], table, memo
             )
         return d
 

@@ -93,7 +93,9 @@ class ReplicaMap:
     def note(self, block_id: BlockId, worker_index: int) -> None:
         if self.history <= 0:
             return
-        holders = self._holders.setdefault(block_id, OrderedDict())
+        holders = self._holders.get(block_id)
+        if holders is None:
+            holders = self._holders[block_id] = OrderedDict()
         holders.pop(worker_index, None)
         holders[worker_index] = None
         while len(holders) > self.history:
@@ -151,23 +153,30 @@ class ConflictTracker:
             return
         raise BarrierViolation(message)
 
+    def _record(self, block_id: BlockId) -> _EpochRecord:
+        rec = self._records.get(block_id)
+        if rec is None:
+            rec = self._records[block_id] = _EpochRecord()
+        return rec
+
     def record_read(self, worker: int, block_id: BlockId) -> None:
         if not self.enabled:
             return
-        rec = self._records.setdefault(block_id, _EpochRecord())
-        others_wrote = (rec.writers | rec.accumulators) - {worker}
-        if others_wrote:
-            self._violation(
-                f"{self.name}: worker {worker} reads block {block_id} written "
-                f"by worker(s) {sorted(others_wrote)} in the same epoch; "
-                "separate conflicting accesses with the appropriate barrier"
-            )
+        rec = self._record(block_id)
+        if rec.writers or rec.accumulators:
+            others_wrote = (rec.writers | rec.accumulators) - {worker}
+            if others_wrote:
+                self._violation(
+                    f"{self.name}: worker {worker} reads block {block_id} written "
+                    f"by worker(s) {sorted(others_wrote)} in the same epoch; "
+                    "separate conflicting accesses with the appropriate barrier"
+                )
         rec.readers.add(worker)
 
     def record_write(self, worker: int, block_id: BlockId, op: str) -> None:
         if not self.enabled:
             return
-        rec = self._records.setdefault(block_id, _EpochRecord())
+        rec = self._record(block_id)
         other_readers = rec.readers - {worker}
         if other_readers:
             self._violation(

@@ -276,15 +276,13 @@ class MasterProcess:
         w_replica = self.config.affinity_replica_weight
         placements = self.rt.placements
         replicas = self.rt.replicas
-        memo = self.config.fastpath
         preferred: list[int] = []
         for n, combo in enumerate(iterations):
             values = dict(zip(index_ids, combo))
             scores: dict[int, float] = {}
             for op in ops:
-                try:
-                    r = op.resolve(values, memo)
-                except SIPError:
+                r = op.lookahead(values)
+                if r is None:
                     continue  # depends on an index bound inside the body
                 bid = r.block_id
                 nb = self._block_nbytes(bid)

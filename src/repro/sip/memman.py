@@ -156,6 +156,9 @@ class MemoryManager:
 
         # resident blocks eligible for spilling: bid -> (block, class)
         self._spillable: dict[BlockId, tuple[Block, str]] = {}
+        # the same block ids per spill class, in registration order (an
+        # ordered set): the victim cascade walks one class at a time
+        self._victims: dict[str, dict[BlockId, None]] = {c: {} for c in SPILL_ORDER}
         # spilled-out blocks: bid -> (block, parked data, class)
         self._spill: dict[BlockId, tuple[Block, Optional[np.ndarray], str]] = {}
         # blocks the current instruction is holding; never spilled
@@ -227,7 +230,18 @@ class MemoryManager:
         """Mark a resident pool block as spillable (kind = array kind)."""
         cls = _KIND_TO_SPILL_CLASS.get(kind)
         if cls is not None:
-            self._spillable[bid] = (block, cls)
+            self._make_spillable(bid, block, cls)
+
+    def _make_spillable(self, bid: BlockId, block: Block, cls: str) -> None:
+        # a block id's class is its array's kind, so it never changes
+        self._spillable[bid] = (block, cls)
+        self._victims[cls][bid] = None
+
+    def _unspillable(self, bid: BlockId) -> Optional[tuple[Block, str]]:
+        entry = self._spillable.pop(bid, None)
+        if entry is not None:
+            del self._victims[entry[1]][bid]
+        return entry
 
     def adopt(self, bid: BlockId, block: Block, kind: str) -> None:
         """Charge an input block scattered outside the pool."""
@@ -239,7 +253,7 @@ class MemoryManager:
     def free(self, bid: Optional[BlockId], block: Block) -> None:
         """Release a block (pool-owned or adopted), wherever it lives."""
         if bid is not None:
-            self._spillable.pop(bid, None)
+            self._unspillable(bid)
             spilled = self._spill.pop(bid, None)
             if spilled is not None:
                 self.spilled_out_bytes -= block.nbytes
@@ -280,10 +294,12 @@ class MemoryManager:
         if need <= 0:
             return
         if allow_spill:
+            pinned = self.pinned
             for cls in SPILL_ORDER:
-                for bid in list(self._spillable):
-                    block, bid_cls = self._spillable[bid]
-                    if bid_cls != cls or bid in self.pinned:
+                # a snapshot: a block scratch cannot take goes back to
+                # the end of its class and is not retried this cascade
+                for bid in list(self._victims[cls]):
+                    if bid in pinned:
                         continue
                     need -= self.spill(bid)
                     if need <= 0:
@@ -299,15 +315,15 @@ class MemoryManager:
 
     def spill(self, bid: BlockId) -> int:
         """Park one resident block's buffer on scratch; returns bytes freed."""
-        block, cls = self._spillable.pop(bid)
+        block, cls = self._unspillable(bid)
         nbytes = block.nbytes
         if (
             self.spill_capacity is not None
             and self.spilled_out_bytes + nbytes > self.spill_capacity
         ):
-            # scratch full: this block stays resident and un-spillable
-            # until something faults back in and frees scratch room
-            self._spillable[bid] = (block, cls)
+            # scratch full: this block stays resident, re-queued last in
+            # its class, until something faults back in and frees room
+            self._make_spillable(bid, block, cls)
             return 0
         self._spill[bid] = (block, block.data, cls)
         block.data = None
@@ -337,7 +353,7 @@ class MemoryManager:
         # returning block cannot be re-victimised (not registered yet)
         self.ensure_headroom(0)
         block.data = data
-        self._spillable[bid] = (block, cls)
+        self._make_spillable(bid, block, cls)
         self.stats.faults_in += 1
         self.stats.fault_bytes += nbytes
         if self.blockio is not None:
@@ -393,5 +409,5 @@ class MemoryManager:
         for bid, (block, data, cls) in list(self._spill.items()):
             block.data = data
             self.spilled_out_bytes -= block.nbytes
-            self._spillable[bid] = (block, cls)
+            self._make_spillable(bid, block, cls)
         self._spill.clear()

@@ -33,6 +33,7 @@ from typing import Any, Optional
 from ..sial.bytecode import CompiledProgram
 from ..simmpi import Simulator, World
 from ..simmpi.faults import ResilienceStats
+from .blas import forking_ranks
 from .blocks import Block, BlockId
 from .config import SIPConfig, SIPError
 from .dryrun import InfeasibleComputation, dry_run
@@ -338,55 +339,59 @@ def execute_mp(
 
     result_pipes = [ctx.Pipe(duplex=False) for _ in range(size)]
     procs: dict[int, Any] = {}
-    try:
-        for rank in range(size):
-            role, index = roles[rank]
-            p = ctx.Process(
-                target=_child_main,
-                args=(
-                    role,
-                    index,
-                    rank,
-                    program,
-                    config,
-                    symbolics,
-                    conns_for(rank),
-                    run_id,
-                    result_pipes[rank][1],
-                ),
-                name=f"sip-{role}{index}-r{rank}",
-            )
-            p.daemon = True  # never outlive a dying parent
-            p.start()
-            procs[rank] = p
-    finally:
-        # the parent keeps no mesh or child-side result ends open, so
-        # a dead peer reads as EOF instead of a silent hang
-        for ci, cj in mesh.values():
-            ci.close()
-            cj.close()
-        for _, child_end in result_pipes:
-            child_end.close()
+    # the ranks share the cores: every child starts with its share of
+    # BLAS threads; the parent, idle while it supervises, gets its own
+    # pool back once they have exited
+    with forking_ranks(size):
+        try:
+            for rank in range(size):
+                role, index = roles[rank]
+                p = ctx.Process(
+                    target=_child_main,
+                    args=(
+                        role,
+                        index,
+                        rank,
+                        program,
+                        config,
+                        symbolics,
+                        conns_for(rank),
+                        run_id,
+                        result_pipes[rank][1],
+                    ),
+                    name=f"sip-{role}{index}-r{rank}",
+                )
+                p.daemon = True  # never outlive a dying parent
+                p.start()
+                procs[rank] = p
+        finally:
+            # the parent keeps no mesh or child-side result ends open, so
+            # a dead peer reads as EOF instead of a silent hang
+            for ci, cj in mesh.values():
+                ci.close()
+                cj.close()
+            for _, child_end in result_pipes:
+                child_end.close()
 
-    results: dict[int, dict] = {}
-    try:
-        results = _supervise(procs, result_pipes, roles)
-    except BaseException:
-        for p in procs.values():
-            if p.is_alive():
-                p.terminate()
+        results: dict[int, dict] = {}
+        try:
+            results = _supervise(procs, result_pipes, roles)
+        except BaseException:
+            for p in procs.values():
+                if p.is_alive():
+                    p.terminate()
+            for p in procs.values():
+                p.join(timeout=_JOIN_GRACE)
+                if p.is_alive():
+                    p.kill()
+                    p.join()
+            _sweep_shm(run_id)
+            raise
         for p in procs.values():
             p.join(timeout=_JOIN_GRACE)
             if p.is_alive():
-                p.kill()
+                p.terminate()
                 p.join()
-        _sweep_shm(run_id)
-        raise
-    for p in procs.values():
-        p.join(timeout=_JOIN_GRACE)
-        if p.is_alive():
-            p.terminate()
-            p.join()
     slabs_swept, leaked = _sweep_shm(run_id)
 
     return _merge(

@@ -625,11 +625,11 @@ class MPEngine:
         steps = 0
         while True:
             while queue:
-                call = heapq.heappop(queue)
-                if call.time < sim.now - 1e-12:
+                at, _, fn, args = heapq.heappop(queue)
+                if at < sim.now - 1e-12:
                     raise SimulationError("time went backwards")
-                sim.now = call.time
-                call.fn(*call.args)
+                sim.now = at
+                fn(*args)
                 if sim._errors:
                     raise sim._errors[0]
                 steps += 1

@@ -14,10 +14,10 @@ result:
   scratch buffer (``out=``); this mirrors exactly how numpy's own
   optimized einsum lowers a two-operand contraction, so the results are
   bit-identical to the legacy path;
-* a :class:`_EinsumPlan` holding a precomputed ``np.einsum_path``
-  otherwise (repeated indices, batch dimensions, pure reductions,
-  outer products), which skips the per-call path search while executing
-  the identical contraction sequence.
+* a :class:`_EinsumPlan` holding a precomputed ``np.einsum_path`` and
+  contraction list otherwise (repeated indices, batch dimensions, pure
+  reductions, outer products), which skips the per-call path search
+  while executing the identical contraction sequence.
 
 The cache key is ``(opcode, index-id signature, operand shapes)``; the
 same cache also memoizes the ``_perm`` axis permutations used by the
@@ -138,22 +138,46 @@ class _GemmPlan:
         _apply(dst, self.scratch.reshape(self.res_shape).transpose(self.out_perm), op)
 
 
-class _EinsumPlan:
-    """Fallback: the naive einsum with its contraction path precomputed."""
+try:  # numpy's executor for one pairwise einsum step (numpy >= 2.3)
+    from numpy._core.einsumfunc import bmm_einsum as _pairwise_einsum
+except ImportError:  # older numpy: replay through np.einsum itself
+    _pairwise_einsum = None
 
-    __slots__ = ("subscripts", "path")
+
+class _EinsumPlan:
+    """Fallback: the naive einsum with its contraction steps precomputed.
+
+    ``np.einsum(..., optimize=path)`` still re-parses the subscripts and
+    rebuilds its contraction list on every call.  The plan builds that
+    list once and replays it through numpy's own pairwise executor, the
+    very calls ``np.einsum(..., optimize=True)`` makes, so results stay
+    bitwise identical.
+    """
+
+    __slots__ = ("subscripts", "path", "steps")
 
     def __init__(self, subscripts: str, a_shape: tuple[int, ...], b_shape: tuple[int, ...]):
         self.subscripts = subscripts
-        self.path = np.einsum_path(
-            subscripts,
-            np.empty(a_shape, dtype=np.float64),
-            np.empty(b_shape, dtype=np.float64),
-            optimize=True,
-        )[0]
+        a = np.empty(a_shape, dtype=np.float64)
+        b = np.empty(b_shape, dtype=np.float64)
+        self.path = np.einsum_path(subscripts, a, b, optimize=True)[0]
+        # (operand positions popped, step subscripts) per contraction
+        self.steps = None
+        if _pairwise_einsum is not None:
+            _, contractions = np.einsum_path(
+                subscripts, a, b, optimize=self.path, einsum_call=True
+            )
+            self.steps = tuple((step[0], step[1]) for step in contractions)
 
     def execute(self, a: np.ndarray, b: np.ndarray, dst: np.ndarray, op: str) -> None:
-        _apply(dst, np.einsum(self.subscripts, a, b, optimize=self.path), op)
+        if self.steps is None:
+            _apply(dst, np.einsum(self.subscripts, a, b, optimize=self.path), op)
+            return
+        operands = [a, b]
+        for positions, step in self.steps:
+            pair = [operands.pop(p) for p in positions]
+            operands.append(_pairwise_einsum(step, *pair))
+        _apply(dst, operands[0], op)
 
 
 def _compile_contraction(

@@ -38,7 +38,7 @@ from ..backend import KernelOperand
 from ..blockio import BlockTransferEngine
 from ..blocks import Block, BlockId, block_nbytes
 from ..config import SIPError
-from ..decode import DecodedOperand, ResolvedOperand
+from ..decode import ResolvedOperand
 from ..distributed import ConflictTracker
 from ..memman import MemoryManager
 from ..messages import (
@@ -221,7 +221,6 @@ class WorkerProcess(ResilientMessaging):
         self._instrs = rt.decoded.instructions
         self._fast_tab = [self._fast.get(d.op) for d in self._instrs]
         self._slow_tab = [self._slow.get(d.op) for d in self._instrs]
-        self._memo_resolve = rt.config.fastpath
         self._rpn_consts = rt.rpn_consts
 
     # convenience views over the engine's ledgers (used by the runners
@@ -436,20 +435,6 @@ class WorkerProcess(ResilientMessaging):
             index_values=self.index_values,
         )
 
-    # -- operand resolution ---------------------------------------------------
-    def resolve(self, op) -> ResolvedOperand:
-        """Resolve a (decoded) block operand against current index values.
-
-        Decoded operands memoize by index-value tuple when the fast path
-        is on; raw :class:`BlockOperand`s (tests, external callers) are
-        decoded on the fly.
-        """
-        if not isinstance(op, DecodedOperand):
-            op = DecodedOperand(
-                op, self.rt.array_desc(op.array_id), self.rt.table
-            )
-        return op.resolve(self.index_values, self._memo_resolve)
-
     # -- block acquisition (read path) ----------------------------------------
     def acquire(self, r: ResolvedOperand) -> Generator:
         """Obtain the block behind an operand, waiting if in flight."""
@@ -556,12 +541,7 @@ class WorkerProcess(ResilientMessaging):
         data = None
         if block.data is not None:
             data = block.data[r.slices] if r.slices is not None else block.data
-        return KernelOperand(
-            shape=r.shape,
-            index_ids=r.index_ids,
-            data=data,
-            element_ranges=r.element_ranges,
-        )
+        return KernelOperand(r.shape, r.index_ids, data, r.element_ranges)
 
     # -- put application (shared with the service pump) --------------------------
     def apply_put(
@@ -687,7 +667,7 @@ class WorkerProcess(ResilientMessaging):
         return instr.args[0]
 
     def op_get(self, instr, pc: int) -> int:
-        r = self.resolve(instr.args[0])
+        r = instr.args[0].resolve(self.index_values)
         bid = r.block_id
         self._sanitize("distributed", self.epoch, bid, "read", instr, pc)
         if self.rt.owner_rank(bid) == self.rank:
@@ -701,7 +681,7 @@ class WorkerProcess(ResilientMessaging):
         return pc + 1
 
     def op_request(self, instr, pc: int) -> int:
-        r = self.resolve(instr.args[0])
+        r = instr.args[0].resolve(self.index_values)
         bid = r.block_id
         self._sanitize("served", self.served_epoch, bid, "read", instr, pc)
         self.engine.hint(bid, "request")
@@ -715,7 +695,7 @@ class WorkerProcess(ResilientMessaging):
         the same iteration is what the sanitizer and conflict tracker
         must observe, exactly as at ``-O0``.
         """
-        r = self.resolve(instr.args[0])
+        r = instr.args[0].resolve(self.index_values)
         bid = r.block_id
         if r.kind == "distributed" and self.rt.owner_rank(bid) == self.rank:
             return pc + 1
@@ -737,13 +717,13 @@ class WorkerProcess(ResilientMessaging):
         return pc + 1
 
     def op_allocate(self, instr, pc: int) -> int:
-        r = self.resolve(instr.args[0])
+        r = instr.args[0].resolve(self.index_values)
         if r.block_id not in self.local_blocks:
             self.local_blocks[r.block_id] = self._alloc_block(r.block_id, zero=True)
         return pc + 1
 
     def op_deallocate(self, instr, pc: int) -> int:
-        r = self.resolve(instr.args[0])
+        r = instr.args[0].resolve(self.index_values)
         block = self.local_blocks.pop(r.block_id, None)
         if block is None:
             raise SIPError(f"deallocate of missing block {r.block_id}")
@@ -844,7 +824,7 @@ class WorkerProcess(ResilientMessaging):
 
     def op_fill(self, instr, pc: int) -> Generator:
         dst_op, op, rpn = instr.args
-        r = self.resolve(dst_op)
+        r = dst_op.resolve(self.index_values)
         value = self.eval_rpn(rpn)
         block = self.write_target(r, needs_existing=(op != "=" or r.slices is not None))
         cost = self.backend.fill(self.kernel_operand(r, block), value, op)
@@ -853,9 +833,9 @@ class WorkerProcess(ResilientMessaging):
 
     def op_copy(self, instr, pc: int) -> Generator:
         dst_op, src_op = instr.args
-        src_r = self.resolve(src_op)
+        src_r = src_op.resolve(self.index_values)
         src_block = yield from self.acquire(src_r)
-        dst_r = self.resolve(dst_op)
+        dst_r = dst_op.resolve(self.index_values)
         dst_block = self.write_target(dst_r, needs_existing=dst_r.slices is not None)
         cost = self.backend.copy(
             self.kernel_operand(dst_r, dst_block),
@@ -866,9 +846,9 @@ class WorkerProcess(ResilientMessaging):
 
     def op_negate(self, instr, pc: int) -> Generator:
         dst_op, src_op = instr.args
-        src_r = self.resolve(src_op)
+        src_r = src_op.resolve(self.index_values)
         src_block = yield from self.acquire(src_r)
-        dst_r = self.resolve(dst_op)
+        dst_r = dst_op.resolve(self.index_values)
         dst_block = self.write_target(dst_r, needs_existing=dst_r.slices is not None)
         cost = self.backend.negate(
             self.kernel_operand(dst_r, dst_block),
@@ -880,9 +860,9 @@ class WorkerProcess(ResilientMessaging):
     def op_scale(self, instr, pc: int) -> Generator:
         dst_op, op, src_op, rpn = instr.args
         factor = self.eval_rpn(rpn)
-        src_r = self.resolve(src_op)
+        src_r = src_op.resolve(self.index_values)
         src_block = yield from self.acquire(src_r)
-        dst_r = self.resolve(dst_op)
+        dst_r = dst_op.resolve(self.index_values)
         dst_block = self.write_target(
             dst_r, needs_existing=(op != "=" or dst_r.slices is not None)
         )
@@ -898,7 +878,7 @@ class WorkerProcess(ResilientMessaging):
     def op_scale_inplace(self, instr, pc: int) -> Generator:
         dst_op, rpn = instr.args
         factor = self.eval_rpn(rpn)
-        r = self.resolve(dst_op)
+        r = dst_op.resolve(self.index_values)
         block = self.write_target(r, needs_existing=True)
         cost = self.backend.scale_inplace(self.kernel_operand(r, block), factor)
         yield Timeout(cost)
@@ -906,9 +886,9 @@ class WorkerProcess(ResilientMessaging):
 
     def op_accum(self, instr, pc: int) -> Generator:
         dst_op, op, src_op = instr.args
-        src_r = self.resolve(src_op)
+        src_r = src_op.resolve(self.index_values)
         src_block = yield from self.acquire(src_r)
-        dst_r = self.resolve(dst_op)
+        dst_r = dst_op.resolve(self.index_values)
         dst_block = self.write_target(dst_r, needs_existing=True)
         cost = self.backend.accumulate(
             self.kernel_operand(dst_r, dst_block),
@@ -920,11 +900,11 @@ class WorkerProcess(ResilientMessaging):
 
     def op_addsub(self, instr, pc: int) -> Generator:
         dst_op, sign, a_op, b_op = instr.args
-        a_r = self.resolve(a_op)
+        a_r = a_op.resolve(self.index_values)
         a_block = yield from self.acquire(a_r)
-        b_r = self.resolve(b_op)
+        b_r = b_op.resolve(self.index_values)
         b_block = yield from self.acquire(b_r)
-        dst_r = self.resolve(dst_op)
+        dst_r = dst_op.resolve(self.index_values)
         dst_block = self.write_target(dst_r, needs_existing=dst_r.slices is not None)
         cost = self.backend.addsub(
             self.kernel_operand(dst_r, dst_block),
@@ -937,11 +917,11 @@ class WorkerProcess(ResilientMessaging):
 
     def op_contract(self, instr, pc: int) -> Generator:
         dst_op, op, a_op, b_op = instr.args
-        a_r = self.resolve(a_op)
+        a_r = a_op.resolve(self.index_values)
         a_block = yield from self.acquire(a_r)
-        b_r = self.resolve(b_op)
+        b_r = b_op.resolve(self.index_values)
         b_block = yield from self.acquire(b_r)
-        dst_r = self.resolve(dst_op)
+        dst_r = dst_op.resolve(self.index_values)
         dst_block = self.write_target(
             dst_r, needs_existing=(op != "=" or dst_r.slices is not None)
         )
@@ -958,11 +938,11 @@ class WorkerProcess(ResilientMessaging):
         """Optimizer-fused ``tmp = a*b; dst op [factor*]tmp``."""
         dst_op, op, a_op, b_op, tmp_ids, factor_rpn = instr.args
         factor = None if factor_rpn is None else self.eval_rpn(factor_rpn)
-        a_r = self.resolve(a_op)
+        a_r = a_op.resolve(self.index_values)
         a_block = yield from self.acquire(a_r)
-        b_r = self.resolve(b_op)
+        b_r = b_op.resolve(self.index_values)
         b_block = yield from self.acquire(b_r)
-        dst_r = self.resolve(dst_op)
+        dst_r = dst_op.resolve(self.index_values)
         dst_block = self.write_target(
             dst_r, needs_existing=(op != "=" or dst_r.slices is not None)
         )
@@ -979,9 +959,9 @@ class WorkerProcess(ResilientMessaging):
 
     def op_scalar_contract(self, instr, pc: int) -> Generator:
         scalar_id, op, a_op, b_op = instr.args
-        a_r = self.resolve(a_op)
+        a_r = a_op.resolve(self.index_values)
         a_block = yield from self.acquire(a_r)
-        b_r = self.resolve(b_op)
+        b_r = b_op.resolve(self.index_values)
         b_block = yield from self.acquire(b_r)
         value, cost = self.backend.scalar_contract(
             self.kernel_operand(a_r, a_block),
@@ -992,7 +972,7 @@ class WorkerProcess(ResilientMessaging):
         return pc + 1
 
     def op_compute_integrals(self, instr, pc: int) -> Generator:
-        r = self.resolve(instr.args[0])
+        r = instr.args[0].resolve(self.index_values)
         block = self.write_target(r, needs_existing=r.slices is not None)
         cost = self.backend.compute_integrals(
             self.kernel_operand(r, block),
@@ -1009,7 +989,7 @@ class WorkerProcess(ResilientMessaging):
         scalars: list[float] = []
         for kind, value in arg_spec:
             if kind == "block":
-                r = self.resolve(value)
+                r = value.resolve(self.index_values)
                 if r.kind not in LOCAL_KINDS:
                     raise SIPError(
                         f"execute {name}: block arguments must be static/"
@@ -1049,9 +1029,9 @@ class WorkerProcess(ResilientMessaging):
 
     def op_put(self, instr, pc: int) -> Generator:
         dst_op, op, src_op = instr.args
-        src_r = self.resolve(src_op)
+        src_r = src_op.resolve(self.index_values)
         src_block = yield from self.acquire(src_r)
-        dst_r = self.resolve(dst_op)
+        dst_r = dst_op.resolve(self.index_values)
         if dst_r.slices is not None:
             raise SIPError("put of a sub-block slice is not supported")
         if src_r.slices is not None:
@@ -1088,9 +1068,9 @@ class WorkerProcess(ResilientMessaging):
 
     def op_prepare(self, instr, pc: int) -> Generator:
         dst_op, op, src_op = instr.args
-        src_r = self.resolve(src_op)
+        src_r = src_op.resolve(self.index_values)
         src_block = yield from self.acquire(src_r)
-        dst_r = self.resolve(dst_op)
+        dst_r = dst_op.resolve(self.index_values)
         if dst_r.slices is not None:
             raise SIPError("prepare of a sub-block slice is not supported")
         if src_r.slices is not None:

@@ -137,3 +137,22 @@ def test_block_copy_independent():
     assert block.data[0, 0] == 1.0
     model = Block((2, 2), None)
     assert model.copy().data is None
+
+
+def test_block_id_is_the_tuple_it_replaces():
+    """Hash and equality are those of ``(array_id, coords)``, computed in
+    C; pickling round-trips the type; str/repr are unchanged."""
+    import pickle
+
+    a = BlockId(3, (1, 2))
+    assert hash(a) == hash((3, (1, 2)))
+    assert a == (3, (1, 2))
+    assert (a.array_id, a.coords) == (3, (1, 2))
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(a, protocol=protocol))
+        assert type(back) is BlockId
+        assert back == a and hash(back) == hash(a)
+        assert (back.array_id, back.coords) == (3, (1, 2))
+    assert repr(a) == "BlockId(array_id=3, coords=(1, 2))"
+    assert str(a) == "B[3](1, 2)"
+    assert {a: 1}[BlockId(3, (1, 2))] == 1

@@ -275,3 +275,100 @@ def test_clear_clean_accounts_evictions():
     assert cache.stats.evictions == 2
     assert cache.stats.evicted_before_use == 1
     assert bid(3) in cache
+
+
+class _FullScanCache(BlockCache):
+    """The victim selection as it was before the LRU walk was bounded:
+    copy the whole LRU order and scan it on every insert."""
+
+    def _make_room(self) -> None:
+        if len(self._entries) < self.capacity:
+            return
+        for key in list(self._entries):
+            entry = self._entries[key]
+            if self.evictable(entry):
+                self._evict(key, entry)
+                if len(self._entries) < self.capacity:
+                    return
+        if len(self._entries) >= self.capacity:
+            raise SIPError(f"{self.name}: cache full")
+
+    def evict_for_pressure(self, need_bytes):
+        freed = count = 0
+        for key in list(self._entries):
+            if freed >= need_bytes:
+                break
+            entry = self._entries[key]
+            if self.evictable(entry):
+                freed += entry.charged
+                count += 1
+                self._evict(key, entry)
+        return freed, count
+
+
+@pytest.mark.parametrize("head", ["pinned", "pending", "dirty"])
+def test_victim_skips_unevictable_lru_head_like_full_scan(head):
+    sim = Simulator()
+    logs = []
+    for cls in (BlockCache, _FullScanCache):
+        evicted = []
+        cache = cls(4, on_evict=lambda key, entry: evicted.append(key))
+        for i in range(4):
+            if head == "pending" and i < 2:
+                cache.insert_pending(bid(i), sim.event())
+            else:
+                ready(cache, i, dirty=(head == "dirty" and i < 2))
+        if head == "pinned":
+            cache.pin(bid(0))
+            cache.pin(bid(1))
+        ready(cache, 10)
+        ready(cache, 11)
+        logs.append(evicted)
+    assert logs[0] == logs[1] == [bid(2), bid(3)]
+
+
+def test_victim_sequence_matches_full_scan_under_random_traffic():
+    import random
+
+    sizes = {i: 8 * (1 + i % 5) for i in range(40)}
+    traces = []
+    for cls in (BlockCache, _FullScanCache):
+        rng = random.Random(2024)
+        sim = Simulator()
+        evicted = []
+        cache = cls(
+            6,
+            on_evict=lambda key, entry: evicted.append(key),
+            nbytes_of=lambda block_id: sizes[block_id.coords[0]],
+        )
+        pins: list = []
+        for step in range(3000):
+            i = rng.randrange(40)
+            action = rng.random()
+            try:
+                if action < 0.3 and bid(i) not in cache:
+                    cache.insert_pending(bid(i), sim.event())
+                elif action < 0.55:
+                    ready(cache, i, dirty=rng.random() < 0.1)
+                elif action < 0.65:
+                    cache.fulfil(bid(i), Block((2,), None))
+                elif action < 0.72 and bid(i) in cache:
+                    cache.pin(bid(i))
+                    pins.append(bid(i))
+                elif action < 0.8 and pins:
+                    cache.unpin(pins.pop(rng.randrange(len(pins))))
+                elif action < 0.9:
+                    cache.lookup(bid(i))
+                elif action < 0.95:
+                    evicted.append(("pressure", cache.evict_for_pressure(rng.randrange(64))))
+                elif bid(i) not in pins:
+                    cache.remove(bid(i))
+            except SIPError:
+                evicted.append(("full", step))
+        state = [
+            (key, e.pending, e.dirty, e.pinned, e.used, e.charged)
+            for key, e in cache.items()
+        ]
+        traces.append((evicted, cache.stats, state))
+    assert len(traces[0][0]) > 100
+    assert traces[0] == traces[1]

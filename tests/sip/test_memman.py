@@ -207,3 +207,126 @@ def test_peak_tracks_unified_residency():
     assert mm.stats.peak_bytes == 2 * NBYTES
     mm.cache.insert_ready(bid(10), Block(SHAPE, np.zeros(SHAPE)))
     assert mm.stats.peak_bytes == 3 * NBYTES
+
+
+class _FullScanManager(MemoryManager):
+    """The spill cascade as it was before per-class victim queues:
+    rescan every spillable block once per spill class, spilling and
+    re-queueing through the one insertion-ordered map."""
+
+    def ensure_headroom(self, nbytes, allow_spill=True):
+        if not self.unified:
+            return
+        need = self.bytes_in_use + nbytes - self.budget_bytes
+        if need <= 0:
+            return
+        self.stats.cascades += 1
+        freed, count = self.cache.evict_for_pressure(int(need))
+        self.stats.pressure_evictions += count
+        need = self.bytes_in_use + nbytes - self.budget_bytes
+        if need <= 0:
+            return
+        if allow_spill:
+            for cls in SPILL_ORDER:
+                for b in list(self._spillable):
+                    block, bid_cls = self._spillable[b]
+                    if bid_cls != cls or b in self.pinned:
+                        continue
+                    need -= self.spill(b)
+                    if need <= 0:
+                        return
+        self.stats.oom_refusals += 1
+        raise OutOfBlockMemory("full")
+
+    def spill(self, b):
+        block, cls = self._spillable.pop(b)
+        nbytes = block.nbytes
+        if (
+            self.spill_capacity is not None
+            and self.spilled_out_bytes + nbytes > self.spill_capacity
+        ):
+            self._spillable[b] = (block, cls)
+            return 0
+        self._spill[b] = (block, block.data, cls)
+        block.data = None
+        self.spilled_out_bytes += nbytes
+        self.stats.spills += 1
+        self.stats.spill_bytes += nbytes
+        self.stats.peak_spill_bytes = max(self.stats.peak_spill_bytes, self.spilled_out_bytes)
+        self._trace("spill", b, nbytes)
+        return nbytes
+
+
+class _SpillLog:
+    def __init__(self):
+        self.events = []
+
+    def record_mem(self, now, rank, kind, bid, nbytes):
+        self.events.append((kind, bid))
+
+
+def _random_pressure(cls, seed, spill_capacity):
+    import random
+
+    rng = random.Random(seed)
+    log = _SpillLog()
+    mm = cls(
+        5 * NBYTES,
+        real=True,
+        name="test",
+        cache_blocks=8,
+        nbytes_of=lambda block_id: NBYTES,
+        spill=True,
+        spill_capacity=spill_capacity,
+        tracer=log,
+    )
+    kinds = ("temp", "local", "static", "distributed")
+    live: dict = {}
+    for step in range(1500):
+        i = rng.randrange(30)
+        action = rng.random()
+        try:
+            if action < 0.45 and bid(i) not in live:
+                block = mm.allocate(SHAPE)
+                mm.register(bid(i), block, kinds[i % 4])
+                live[bid(i)] = block
+            elif action < 0.7 and bid(i) in live:
+                mm.touch(bid(i))
+                mm.pin_instr(bid(i))
+            elif action < 0.8:
+                mm.clear_instr_pins()
+            elif action < 0.9 and bid(i) in live:
+                mm.free(bid(i), live.pop(bid(i)))
+            elif action < 0.95:
+                mm.cache.insert_ready(BlockId(1, (i,)), Block(SHAPE, np.zeros(SHAPE)))
+            else:
+                mm.ensure_headroom(rng.randrange(4) * NBYTES)
+        except OutOfBlockMemory:
+            log.events.append(("oom", step))
+    return log.events, mm.stats, list(mm._spillable), list(mm._spill)
+
+
+@pytest.mark.parametrize(
+    "spill_capacity", [None, 3 * NBYTES], ids=["ample-scratch", "scratch-full"]
+)
+def test_spill_cascade_order_matches_full_scan(spill_capacity):
+    """Victims across SPILL_ORDER classes come out in the same order as
+    the full rescan, including blocks re-queued when scratch is full."""
+    for seed in range(3):
+        new = _random_pressure(MemoryManager, seed, spill_capacity)
+        old = _random_pressure(_FullScanManager, seed, spill_capacity)
+        assert sum(1 for kind, _ in new[0] if kind == "spill") > 50
+        assert new == old
+
+
+def test_scratch_full_requeues_victim_last_in_its_class():
+    mm = manager(budget_blocks=3, spill_capacity=NBYTES)
+    fill(mm, 1, "temp")
+    fill(mm, 2, "temp")
+    fill(mm, 3, "static")
+    fill(mm, 4, "temp")  # spills 1; scratch is now full
+    assert mm.spilled_blocks == 1
+    with pytest.raises(OutOfBlockMemory):
+        fill(mm, 5, "temp")  # 2, 4, 3 each bounce off the full scratch
+    assert list(mm._victims["temp"]) == [bid(2), bid(4)]
+    assert list(mm._spillable) == [bid(2), bid(4), bid(3)]

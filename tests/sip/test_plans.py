@@ -148,3 +148,57 @@ def test_perm_mismatch_raises():
 
     with pytest.raises(SIPError, match="operand index mismatch"):
         perm((0, 1), (0, 2))
+
+
+EINSUM_CASES = [
+    c for c in CASES if isinstance(KernelPlanCache().contraction(*c), _EinsumPlan)
+]
+
+
+@pytest.mark.parametrize(
+    "case", EINSUM_CASES, ids=[str(i) for i in range(len(EINSUM_CASES))]
+)
+def test_einsum_plan_replay_matches_optimized_einsum_bitwise(case):
+    """The stored contraction list replays exactly what
+    ``np.einsum(optimize=True)`` computes, on fresh data each call and
+    on strided views."""
+    a_ids, a_shape, b_ids, b_shape, out_ids, out_shape = case
+    sub = einsum_subscripts(a_ids, b_ids, out_ids)
+    plan = _EinsumPlan(sub, a_shape, b_shape)
+    rng = np.random.default_rng(len(sub))
+    for trial in range(3):
+        a = rng.standard_normal(a_shape)
+        b = rng.standard_normal(b_shape)
+        if trial == 2:  # reversed-stride views of the same shapes
+            a = np.flip(rng.standard_normal(a_shape))
+            b = np.flip(rng.standard_normal(b_shape))
+        dst = np.zeros(out_shape)
+        plan.execute(a, b, dst, "=")
+        assert np.array_equal(dst, np.einsum(sub, a, b, optimize=True))
+
+
+def test_einsum_plan_skips_the_per_call_path_search(monkeypatch):
+    from numpy._core import einsumfunc
+
+    from repro.sip import plans
+
+    if plans._pairwise_einsum is None:
+        pytest.skip("this numpy has no pairwise einsum executor to replay")
+    case = ((0, 0), (4, 4), (0, 1), (4, 3), (1,), (3,))
+    a_ids, a_shape, b_ids, b_shape, out_ids, out_shape = case
+    sub = einsum_subscripts(a_ids, b_ids, out_ids)
+    plan = _EinsumPlan(sub, a_shape, b_shape)
+    assert plan.steps is not None
+    rng = np.random.default_rng(1)
+    a = rng.standard_normal(a_shape)
+    b = rng.standard_normal(b_shape)
+    want = np.einsum(sub, a, b, optimize=True)
+
+    def no_path_search(*args, **kwargs):
+        raise AssertionError("einsum path recomputed at execute time")
+
+    monkeypatch.setattr(einsumfunc, "einsum_path", no_path_search)
+    monkeypatch.setattr(np, "einsum", no_path_search)
+    dst = np.zeros(out_shape)
+    plan.execute(a, b, dst, "=")
+    assert np.array_equal(dst, want)
